@@ -27,14 +27,17 @@ void ThreadPool::ForkJoin::Finish(std::exception_ptr e) {
   }
   // The error (if any) is published before the final decrement, so the
   // joiner that observes remaining == 0 sees it. After the decrement this
-  // object may be destroyed by the joiner — touch only the pool below.
+  // object may be destroyed by the joiner (it lives on the joiner's stack),
+  // so the pool pointer is copied out first: the pool outlives every join
+  // made on it, the ForkJoin does not.
+  ThreadPool* const p = pool;
   if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Lock/unlock pairs with the joiner's predicate evaluation under mu_:
     // either the joiner saw remaining == 0 already, or it is parked in
     // cv_.Wait and the NotifyAll below wakes it. Without the fence the
     // notify could land between the predicate check and the park.
-    { MutexLock lock(&pool->mu_); }
-    pool->cv_.NotifyAll();
+    { MutexLock lock(&p->mu_); }
+    p->cv_.NotifyAll();
   }
 }
 

@@ -139,7 +139,10 @@ class ThreadPool {
 
     /// The pool this join's chunks run on; Finish touches pool->mu_ for
     /// the wake-up handshake, and the lock-order annotation below needs a
-    /// named object to order against.
+    /// named object to order against. The ForkJoin lives on the joiner's
+    /// stack and may be destroyed as soon as `remaining` reaches 0, so
+    /// Finish copies this pointer into a local before its releasing
+    /// decrement and never touches the ForkJoin after it.
     ThreadPool* const pool;
     std::atomic<int> remaining{0};
     /// Ordered after the pool mutex in the global hierarchy (see

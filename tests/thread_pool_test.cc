@@ -52,6 +52,31 @@ TEST(ThreadPoolTest, ReusableAcrossManyCalls) {
   EXPECT_EQ(total.load(), 200L * (64 * 63 / 2));
 }
 
+TEST(ThreadPoolTest, FinalDecrementDoesNotTouchFreedLatch) {
+  // The lane that finishes a join's last chunk wakes the joiner through the
+  // pool, but the joiner may already have seen remaining == 0, returned and
+  // popped the ForkJoin off its stack. Many tiny joins on an explicit
+  // 4-lane pool make that window hit regardless of hardware width; under
+  // ASan with detect_stack_use_after_return=1 a read of the latch after
+  // the final decrement reports stack-use-after-return; a plain build may
+  // crash in CondVar::NotifyAll.
+  ThreadPool pool(4);
+  constexpr int kCalls = 200000;
+  std::atomic<long> total{0};
+  for (int round = 0; round < kCalls; ++round) {
+    pool.ParallelFor(4, [&](int i) { total.fetch_add(i, std::memory_order_relaxed); });
+  }
+  EXPECT_EQ(total.load(), static_cast<long>(kCalls) * (0 + 1 + 2 + 3));
+
+  std::atomic<long> covered{0};
+  for (int round = 0; round < kCalls; ++round) {
+    pool.ParallelForMorsels(4, 1, [&](size_t, size_t b, size_t e) {
+      covered.fetch_add(static_cast<long>(e - b), std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(covered.load(), static_cast<long>(kCalls) * 4);
+}
+
 TEST(ThreadPoolTest, ExceptionsPropagateToCaller) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
